@@ -9,14 +9,20 @@ reflective steel shelving (the Fig. 6(b) scenario).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro import faults
-from repro.channel.geometry import Wall, as_point, segments_cross
-from repro.channel.multipath import Ray, one_way_channel, trace_rays
+from repro.channel.geometry import Wall, as_point
+from repro.channel.multipath import (
+    Ray,
+    WallArrays,
+    channels,
+    crossings,
+    trace_rays,
+)
 from repro.errors import GeometryError
 
 
@@ -39,11 +45,18 @@ GLASS = Material(2.0, 0.15, "glass")
 
 
 class Environment:
-    """A set of walls plus channel-query helpers."""
+    """A set of walls plus channel-query helpers.
+
+    Channel queries run through the batched kernel of
+    :mod:`repro.channel.multipath` on the walls' cached
+    :class:`~repro.channel.multipath.WallArrays`, rebuilt whenever the
+    wall list changes.
+    """
 
     def __init__(self, walls: Sequence[Wall] = (), max_reflections: int = 1) -> None:
         self.walls: List[Wall] = list(walls)
         self.max_reflections = int(max_reflections)
+        self._arrays = WallArrays(())
 
     def add_wall(
         self,
@@ -63,9 +76,17 @@ class Environment:
         self.walls.append(wall)
         return wall
 
+    def wall_arrays(self) -> WallArrays:
+        """The kernel arrays of the current walls (cached)."""
+        cached = self._arrays.walls
+        walls = self.walls
+        if len(cached) != len(walls) or any(c is not w for c, w in zip(cached, walls)):
+            self._arrays = WallArrays(walls)
+        return self._arrays
+
     def rays_between(self, a, b) -> List[Ray]:
         """All propagation paths between two points."""
-        return trace_rays(a, b, self.walls, max_reflections=self.max_reflections)
+        return trace_rays(a, b, self.wall_arrays(), max_reflections=self.max_reflections)
 
     def channel(self, a, b, frequency_hz: float) -> complex:
         """One-way complex channel between two points.
@@ -77,23 +98,36 @@ class Environment:
         """
         if faults.dropped("channel.link"):
             return 0j
-        return one_way_channel(self.rays_between(a, b), frequency_hz)
+        a, b = as_point(a), as_point(b)
+        return complex(self.channels(a, b, frequency_hz)[0])
+
+    def channels(self, a, b, frequency_hz: float) -> np.ndarray:
+        """One-way channels of ``P`` endpoint pairs in one kernel call.
+
+        ``a``/``b`` are ``(P, 2)`` arrays, or one point shared by every
+        pair. Unlike :meth:`channel` this draws no ``channel.link``
+        faults: a batching caller draws them in its own order.
+        """
+        return channels(a, b, self.wall_arrays(), frequency_hz, self.max_reflections)
 
     def has_line_of_sight(self, a, b) -> bool:
         """True when no wall properly crosses the direct segment."""
         a, b = as_point(a), as_point(b)
-        return not any(
-            segments_cross(a, b, w.p1, w.p2) for w in self.walls
-        )
+        if not self.walls:
+            return True
+        return not crossings(a, b, self.wall_arrays()).any()
 
     def obstruction_loss_db(self, a, b) -> float:
         """Total transmission loss of walls crossed by the direct path."""
         a, b = as_point(a), as_point(b)
+        if not self.walls:
+            return 0.0
+        crossed = crossings(a, b, self.wall_arrays())
         return float(
             sum(
                 w.transmission_loss_db
-                for w in self.walls
-                if segments_cross(a, b, w.p1, w.p2)
+                for w, hit in zip(self.walls, crossed.tolist())
+                if hit
             )
         )
 

@@ -17,47 +17,45 @@ which is exactly how carrier-frequency offset appears in hardware.
 
 from __future__ import annotations
 
-from repro.dsp.signal import Signal
-from repro.dsp.units import (
-    db_to_linear,
-    dbm_to_watts,
-    linear_to_db,
-    watts_to_dbm,
-)
-from repro.dsp.oscillator import Oscillator
-from repro.dsp.mixer import downconvert, upconvert
-from repro.dsp.filters import BandPassFilter, Filter, LowPassFilter
-from repro.dsp.amplifier import AmplifierChain, PowerAmplifier, VariableGainAmplifier
-from repro.dsp.noise import awgn, thermal_noise, thermal_noise_power_dbm
-from repro.dsp.measurements import (
-    mean_power_dbm,
-    peak_power_dbm,
-    phase_of_tone,
-    tone,
-    tone_power_dbm,
-)
+import importlib
+from typing import Any, Dict
 
-__all__ = [
-    "Signal",
-    "Oscillator",
-    "downconvert",
-    "upconvert",
-    "Filter",
-    "LowPassFilter",
-    "BandPassFilter",
-    "VariableGainAmplifier",
-    "PowerAmplifier",
-    "AmplifierChain",
-    "awgn",
-    "thermal_noise",
-    "thermal_noise_power_dbm",
-    "tone",
-    "mean_power_dbm",
-    "peak_power_dbm",
-    "tone_power_dbm",
-    "phase_of_tone",
-    "db_to_linear",
-    "linear_to_db",
-    "dbm_to_watts",
-    "watts_to_dbm",
-]
+#: Public name -> defining submodule. The re-exports load on first
+#: attribute access (PEP 562), so ``from repro.dsp.units import ...``
+#: does not pull in ``scipy.signal`` through :mod:`repro.dsp.filters`.
+_EXPORTS: Dict[str, str] = {
+    "Signal": "signal",
+    "Oscillator": "oscillator",
+    "downconvert": "mixer",
+    "upconvert": "mixer",
+    "Filter": "filters",
+    "LowPassFilter": "filters",
+    "BandPassFilter": "filters",
+    "VariableGainAmplifier": "amplifier",
+    "PowerAmplifier": "amplifier",
+    "AmplifierChain": "amplifier",
+    "awgn": "noise",
+    "thermal_noise": "noise",
+    "thermal_noise_power_dbm": "noise",
+    "tone": "measurements",
+    "mean_power_dbm": "measurements",
+    "peak_power_dbm": "measurements",
+    "tone_power_dbm": "measurements",
+    "phase_of_tone": "measurements",
+    "db_to_linear": "units",
+    "linear_to_db": "units",
+    "dbm_to_watts": "units",
+    "watts_to_dbm": "units",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str) -> Any:
+    """Load a re-exported name from its submodule on first access."""
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value

@@ -15,13 +15,24 @@ factors out during localization (paper §5.1).
 
 from __future__ import annotations
 
+import importlib
 from dataclasses import dataclass
+from types import ModuleType
 
 import numpy as np
-from scipy import signal as sps
 
 from repro.dsp.signal import Signal
 from repro.errors import ConfigurationError, SampleRateError
+
+
+def _sps() -> ModuleType:
+    """``scipy.signal``, imported on first filter use.
+
+    It dominates this package's import time; importing the filter
+    classes (as the relay's forwarding path does) stays cheap for code
+    that never designs or applies a filter.
+    """
+    return importlib.import_module("scipy.signal")
 
 
 class Filter:
@@ -42,7 +53,7 @@ class Filter:
                 f"filter designed for {self.sample_rate} S/s, signal is "
                 f"{sig.sample_rate} S/s"
             )
-        filtered = sps.sosfilt(self._sos, sig.samples)
+        filtered = _sps().sosfilt(self._sos, sig.samples)
         return sig.with_samples(filtered)
 
     def __call__(self, sig: Signal) -> Signal:
@@ -56,7 +67,7 @@ class Filter:
         Negative frequencies are meaningful for complex envelopes.
         """
         w = 2.0 * np.pi * baseband_frequency_hz / self.sample_rate
-        _, h = sps.sosfreqz(self._sos, worN=[w])
+        _, h = _sps().sosfreqz(self._sos, worN=[w])
         return complex(h[0])
 
     def attenuation_db(self, baseband_frequency_hz: float) -> float:
@@ -68,10 +79,10 @@ class Filter:
 
     def group_delay_seconds(self, baseband_frequency_hz: float = 0.0) -> float:
         """Group delay near a frequency, in seconds."""
-        b, a = sps.sos2tf(self._sos)
+        b, a = _sps().sos2tf(self._sos)
         w = 2.0 * np.pi * abs(baseband_frequency_hz) / self.sample_rate
         worn = np.array([max(w, 1e-6)])
-        _, gd = sps.group_delay((b, a), w=worn)
+        _, gd = _sps().group_delay((b, a), w=worn)
         return float(gd[0] / self.sample_rate)
 
 
@@ -94,7 +105,7 @@ class LowPassFilter(Filter):
             raise ConfigurationError(f"order must be >= 1, got {order}")
         self.cutoff_hz = float(cutoff_hz)
         self.order = int(order)
-        self._sos = sps.butter(
+        self._sos = _sps().butter(
             order, cutoff_hz, btype="low", fs=sample_rate, output="sos"
         )
 
@@ -131,6 +142,6 @@ class BandPassFilter(Filter):
         self.center_hz = float(center_hz)
         self.half_bandwidth_hz = float(half_bandwidth_hz)
         self.order = int(order)
-        self._sos = sps.butter(
+        self._sos = _sps().butter(
             order, [low, high], btype="band", fs=sample_rate, output="sos"
         )

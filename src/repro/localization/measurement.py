@@ -25,6 +25,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
+from repro import faults
 from repro.channel.environment import Environment
 from repro.constants import RELAY_FREQUENCY_SHIFT_HZ, UHF_CENTER_FREQUENCY
 from repro.dsp.units import db_to_linear
@@ -128,6 +129,18 @@ class MeasurementModel:
         """
         a_rt = self.reader_relay_round_trip(drone_position)
         b_rt = self.relay_tag_round_trip(drone_position, tag_position)
+        return self._observe(drone_position, a_rt, b_rt, rng, snr_db, time)
+
+    def _observe(
+        self,
+        drone_position,
+        a_rt: complex,
+        b_rt: complex,
+        rng: Optional[np.random.Generator],
+        snr_db: float,
+        time: float,
+    ) -> ThroughRelayMeasurement:
+        """Assemble one observation from its round-trip half-links."""
         h_target = a_rt * b_rt * self.relay_gain
         h_reference = a_rt * self.reference_gain
         if rng is not None and np.isfinite(snr_db):
@@ -160,8 +173,31 @@ class MeasurementModel:
         rng: Optional[np.random.Generator] = None,
         snr_db: float = 30.0,
     ) -> List[ThroughRelayMeasurement]:
-        """Observations at every pose of a flight."""
+        """Observations at every pose of a flight.
+
+        The same observations as :meth:`measure` pose by pose, with every
+        half-link of the flight computed in two batched channel calls.
+        The ``channel.link`` faults are drawn first, in the per-pose order
+        (reader->relay, then relay->tag), so the same links drop.
+        """
+        samples = list(samples)
+        live = np.array(
+            [not faults.dropped("channel.link") for _ in range(2 * len(samples))],
+            dtype=bool,
+        ).reshape(-1, 2)
+        positions = np.array([s.position for s in samples], dtype=float).reshape(-1, 2)
+        # Dropped half-links stay dead (0j) and are never traced.
+        reader_relay = np.zeros(len(samples), complex)
+        relay_tag = np.zeros(len(samples), complex)
+        reader_relay[live[:, 0]] = self.environment.channels(
+            self.reader_position, positions[live[:, 0]], self.f
+        )
+        relay_tag[live[:, 1]] = self.environment.channels(
+            positions[live[:, 1]], tag_position, self.f2
+        )
         return [
-            self.measure(s.position, tag_position, rng, snr_db, s.time)
-            for s in samples
+            self._observe(
+                s.position, complex(a * a), complex(b * b), rng, snr_db, s.time
+            )
+            for s, a, b in zip(samples, reader_relay.tolist(), relay_tag.tolist())
         ]

@@ -12,11 +12,18 @@ from repro.errors import EncodingError
 
 Bits = Tuple[int, ...]
 
+_BINARY = frozenset((0, 1))
+#: Maps the bytes 0x00/0x01 of ``bytes(bits)`` to the digits "0"/"1".
+_ASCII_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
 
 def validate_bits(bits: Iterable[int]) -> Bits:
     """Return ``bits`` as a tuple, checking every element is 0 or 1."""
-    out = tuple(int(b) for b in bits)
-    if any(b not in (0, 1) for b in out):
+    try:
+        out = tuple(map(int, bits))
+    except (TypeError, ValueError) as exc:
+        raise EncodingError(f"bit vector contains non-integer values: {exc}") from exc
+    if not _BINARY.issuperset(out):
         raise EncodingError(f"bit vector contains non-binary values: {out[:16]}...")
     return out
 
@@ -32,10 +39,10 @@ def bits_from_int(value: int, width: int) -> Bits:
 
 def bits_to_int(bits: Sequence[int]) -> int:
     """Big-endian interpretation of a bit vector as an unsigned integer."""
-    value = 0
-    for b in validate_bits(bits):
-        value = (value << 1) | b
-    return value
+    checked = validate_bits(bits)
+    if not checked:
+        return 0
+    return int(bytes(checked).translate(_ASCII_DIGITS), 2)
 
 
 def bits_to_str(bits: Sequence[int]) -> str:

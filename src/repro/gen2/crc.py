@@ -7,7 +7,9 @@ Per the EPCglobal Gen2 specification (Annex F):
 * **CRC-16** protects longer reader commands and tag {PC, EPC} replies.
   It is the CCITT CRC: polynomial 0x1021, preset 0xFFFF, and the ones-
   complement of the register is appended. A correct frame leaves the
-  receiver's register at the residue 0x1D0F.
+  receiver's register at the residue 0x1D0F. It runs a byte at a time
+  from a 256-entry table; a frame whose length is not a multiple of 8
+  feeds its leading ``len % 8`` bits through the bit-serial loop first.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.errors import CRCError
-from repro.gen2.bitops import Bits, bits_from_int, validate_bits
+from repro.gen2.bitops import Bits, bits_from_int, bits_to_int, validate_bits
 
 CRC5_POLY = 0b01001  # x^5 + x^3 + 1, with the x^5 term implicit
 CRC5_PRESET = 0b01001
@@ -35,14 +37,32 @@ def crc5(bits: Sequence[int]) -> Bits:
     return bits_from_int(register, 5)
 
 
-def crc16(bits: Sequence[int]) -> Bits:
-    """CRC-16 of a bit sequence, ones-complemented, as 16 bits MSB-first."""
-    register = CRC16_PRESET
-    for bit in validate_bits(bits):
+def _crc16_shift(register: int, bits: Sequence[int]) -> int:
+    """Clock ``bits`` through the CRC-16 register one at a time."""
+    for bit in bits:
         msb = (register >> 15) & 1
         register = (register << 1) & 0xFFFF
         if msb ^ bit:
             register ^= CRC16_POLY
+    return register
+
+
+#: ``_CRC16_TABLE[b]`` is the register after clocking eight zero bits
+#: through a register that starts as ``b << 8``: one byte's update.
+_CRC16_TABLE = tuple(
+    _crc16_shift(byte << 8, (0,) * 8) for byte in range(256)
+)
+
+
+def crc16(bits: Sequence[int]) -> Bits:
+    """CRC-16 of a bit sequence, ones-complemented, as 16 bits MSB-first."""
+    checked = validate_bits(bits)
+    head = len(checked) % 8
+    register = _crc16_shift(CRC16_PRESET, checked[:head])
+    body = bits_to_int(checked[head:]).to_bytes(len(checked) // 8, "big")
+    table = _CRC16_TABLE
+    for byte in body:
+        register = ((register << 8) & 0xFFFF) ^ table[(register >> 8) ^ byte]
     return bits_from_int(register ^ 0xFFFF, 16)
 
 

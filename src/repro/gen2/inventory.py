@@ -64,7 +64,7 @@ class QAlgorithm:
         elif outcome == SlotOutcome.IDLE:
             self.qfp = max(0.0, self.qfp - self.c)
         after = self.q
-        return int(np.sign(after - before))
+        return (after > before) - (after < before)
 
 
 @dataclass
@@ -101,16 +101,10 @@ class InventoryRound:
         return sum(1 for s in self.slots if s.outcome == SlotOutcome.IDLE)
 
 
-def _broadcast(
-    tags: Sequence[Gen2Tag],
-    command,
-    hears: Callable[[Gen2Tag], bool],
-) -> List[Tuple[Gen2Tag, object]]:
-    """Deliver a command to every tag that can hear it; gather replies."""
+def _broadcast(audible: Sequence[Gen2Tag], command) -> List[Tuple[Gen2Tag, object]]:
+    """Deliver a command to every tag that hears it; gather replies."""
     replies = []
-    for tag in tags:
-        if not hears(tag):
-            continue
+    for tag in audible:
         reply = tag.handle(command)
         if reply is not None:
             replies.append((tag, reply))
@@ -137,7 +131,10 @@ def run_inventory(
         alternatively pass ``hears`` to model reachability).
     hears:
         Predicate: can this tag hear the reader's (possibly relayed)
-        downlink right now? Defaults to "all tags".
+        downlink right now? Defaults to "all tags". It is sampled once
+        per tag per call, in population order, before the first Query:
+        reachability is fixed for the duration of the call, and only
+        the tags that hear are sent commands.
     decodes:
         Predicate: given a single uncollided reply, does the reader
         decode it? Models uplink SNR. Defaults to "always".
@@ -150,18 +147,16 @@ def run_inventory(
     InventoryRound
         EPCs read (as integers) and per-slot outcomes.
     """
-    hears = hears or (lambda tag: True)
+    audible = list(tags) if hears is None else [t for t in tags if hears(t)]
     decodes = decodes or (lambda tag: True)
     qalg = QAlgorithm(initial_q=initial_q)
     result = InventoryRound()
 
     query = Query(q=qalg.q, session=session, target=target)
-    replies = _broadcast(tags, query, hears)
+    replies = _broadcast(audible, query)
     result.commands_sent += 1
 
-    remaining = lambda: any(
-        hears(t) and t.inventoried[session] == target for t in tags
-    )
+    remaining = lambda: any(t.inventoried[session] == target for t in audible)
     slots_done = 0
     slots_in_round = 1 << qalg.q
     slot_index = 1
@@ -174,7 +169,7 @@ def run_inventory(
             if isinstance(rn16_reply, Rn16Reply) and decodes(tag):
                 ack = Ack(rn16=rn16_reply.rn16)
                 result.commands_sent += 1
-                epc_replies = _broadcast(tags, ack, hears)
+                epc_replies = _broadcast(audible, ack)
                 epc_replies = [
                     (t, r) for t, r in epc_replies if isinstance(r, EpcReply)
                 ]
@@ -198,19 +193,19 @@ def run_inventory(
         updn = qalg.update(record.outcome)
         if use_query_adjust and updn != 0:
             adjust = QueryAdjust(session=session, updn=updn)
-            replies = _broadcast(tags, adjust, hears)
+            replies = _broadcast(audible, adjust)
             result.commands_sent += 1
             slots_in_round = 1 << qalg.q
             slot_index = 1
         elif slot_index >= slots_in_round:
             query = Query(q=qalg.q, session=session, target=target)
-            replies = _broadcast(tags, query, hears)
+            replies = _broadcast(audible, query)
             result.commands_sent += 1
             slots_in_round = 1 << qalg.q
             slot_index = 1
         else:
             rep = QueryRep(session=session)
-            replies = _broadcast(tags, rep, hears)
+            replies = _broadcast(audible, rep)
             result.commands_sent += 1
             slot_index += 1
 

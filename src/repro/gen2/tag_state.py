@@ -11,7 +11,8 @@ naturally avoid collisions" between it and environment tags.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, Optional, Sequence
 
 import numpy as np
@@ -50,9 +51,9 @@ class EpcReply:
     pc: int
     epc: Bits
 
-    @property
+    @cached_property
     def bits(self) -> Bits:
-        """The reply payload as bits, MSB first."""
+        """The reply payload as bits, MSB first (built once per reply)."""
         return append_crc16(bits_from_int(self.pc, 16) + self.epc)
 
 
@@ -69,14 +70,19 @@ class Gen2Tag:
     """
 
     def __init__(self, epc: Sequence[int], rng: np.random.Generator) -> None:
-        self.epc: Bits = validate_bits(epc)
-        if len(self.epc) % 16 != 0:
+        bits = validate_bits(epc)
+        if len(bits) % 16 != 0:
             raise ProtocolError(
-                f"EPC length must be a multiple of 16 bits, got {len(self.epc)}"
+                f"EPC length must be a multiple of 16 bits, got {len(bits)}"
             )
+        # The identity is fixed at construction: ``epc`` is read-only,
+        # so the integer and the reply frame built here never go stale.
+        self._epc = bits
+        self._epc_int = bits_to_int(bits)
         self.rng = rng
         # PC word: EPC length in words, in the top 5 bits.
-        self.pc = (len(self.epc) // 16) << 11
+        self.pc = (len(bits) // 16) << 11
+        self._epc_reply = EpcReply(self.pc, bits)
         self.state = TagState.READY
         self.slot = 0
         self.rn16 = 0
@@ -203,13 +209,13 @@ class Gen2Tag:
             return None
         if self.state not in (TagState.ARBITRATE, TagState.REPLY):
             return None
-        self._q = int(np.clip(self._q + command.updn, 0, 15))
+        self._q = min(15, max(0, self._q + command.updn))
         return self._draw_slot()
 
     def _handle_ack(self, command: Ack) -> Optional[EpcReply]:
         if self.state == TagState.REPLY and command.rn16 == self.rn16:
             self.state = TagState.ACKNOWLEDGED
-            return EpcReply(self.pc, self.epc)
+            return self._epc_reply
         if self.state in (TagState.REPLY, TagState.ACKNOWLEDGED):
             # Wrong RN16: back to arbitration per the spec.
             if command.rn16 != self.rn16:
@@ -217,7 +223,7 @@ class Gen2Tag:
                 self.slot = 1 << 15
                 return None
             # Re-ACK of an acknowledged tag re-sends the EPC.
-            return EpcReply(self.pc, self.epc)
+            return self._epc_reply
         return None
 
     def _handle_nak(self) -> None:
@@ -233,9 +239,14 @@ class Gen2Tag:
     # -- introspection -------------------------------------------------------
 
     @property
+    def epc(self) -> Bits:
+        """The tag's EPC bits (read-only)."""
+        return self._epc
+
+    @property
     def epc_int(self) -> int:
         """The EPC as an integer (convenient dictionary key)."""
-        return bits_to_int(self.epc)
+        return self._epc_int
 
     def power_reset(self) -> None:
         """Model a loss of power: volatile inventory state resets.

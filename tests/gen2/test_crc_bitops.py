@@ -1,9 +1,11 @@
 """Tests for CRC-5/CRC-16 and bit helpers."""
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.errors import CRCError, EncodingError
+from repro.gen2 import Gen2Tag
 from repro.gen2.bitops import (
     bits_from_int,
     bits_to_int,
@@ -137,3 +139,38 @@ class TestCrc16:
             frame[start + i] ^= p
         with pytest.raises(CRCError):
             check_crc16(tuple(frame))
+
+
+class TestValidationContract:
+    """What the fast paths must keep rejecting and accepting."""
+
+    @pytest.mark.parametrize("bad", [2, -1, "x"])
+    def test_non_binary_elements_raise_encoding_error(self, bad):
+        with pytest.raises(EncodingError):
+            validate_bits((0, 1, bad))
+        with pytest.raises(EncodingError):
+            bits_to_int((bad, 0))
+        with pytest.raises(EncodingError):
+            crc16((1, bad, 0))
+
+    def test_numpy_ints_and_bools_are_accepted(self):
+        assert validate_bits(np.array([1, 0, 1], dtype=np.int64)) == (1, 0, 1)
+        assert validate_bits((np.uint8(1), np.int32(0))) == (1, 0)
+        assert validate_bits((True, False, True)) == (1, 0, 1)
+        assert bits_to_int(np.array([True, False, True])) == 0b101
+
+    def test_empty_vector_is_zero(self):
+        assert bits_to_int(()) == 0
+
+    @pytest.mark.parametrize("position", [0, 7, 15, 60, 111, 112, 127])
+    def test_one_flipped_bit_fails_the_check(self, position):
+        frame = list(append_crc16(bits_from_int(0x3000, 16) + bits_from_int(0xABC, 96)))
+        frame[position] ^= 1
+        with pytest.raises(CRCError):
+            check_crc16(tuple(frame))
+
+    def test_gen2_tag_epc_is_read_only_and_matches_its_integer(self):
+        tag = Gen2Tag(bits_from_int(0xDEADBEEF, 96), np.random.default_rng(0))
+        with pytest.raises(AttributeError):
+            tag.epc = bits_from_int(1, 96)
+        assert tag.epc_int == bits_to_int(tag.epc) == 0xDEADBEEF

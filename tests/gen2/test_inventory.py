@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ProtocolError
-from repro.gen2 import Gen2Tag, QAlgorithm, SlotOutcome, run_inventory
+from repro.gen2 import Gen2Tag, QAlgorithm, Query, QueryAdjust, SlotOutcome, run_inventory
 from repro.gen2.bitops import bits_from_int
 
 
@@ -125,3 +125,51 @@ class TestRunInventory:
             + sum(1 for s in result.slots if s.outcome == SlotOutcome.DECODE_ERROR)
             == len(result.slots)
         )
+
+
+class TestHearsSampling:
+    """``hears`` is sampled once per tag per call, in population order."""
+
+    def test_counting_predicate_sees_each_tag_once_per_call(self):
+        tags = make_population(12, seed=23)
+        calls = []
+
+        def hears(tag):
+            calls.append(tag)
+            return tag.epc_int % 3 != 0
+
+        for target in ("A", "B"):
+            calls.clear()
+            result = run_inventory(
+                tags, np.random.default_rng(0), target=target, hears=hears
+            )
+            assert [id(t) for t in calls] == [id(t) for t in tags]
+            assert set(result.epcs) <= {t.epc_int for t in tags if hears(t)}
+
+    def test_deaf_tags_receive_no_commands(self):
+        tags = make_population(6, seed=29)
+        before = [(t.state, t.slot, t.rn16, dict(t.inventoried)) for t in tags]
+        result = run_inventory(tags, np.random.default_rng(0), hears=lambda t: False)
+        assert result.epcs == [] and len(result.slots) == 1
+        assert [(t.state, t.slot, t.rn16, dict(t.inventoried)) for t in tags] == before
+
+
+class TestScalarArithmetic:
+    @pytest.mark.parametrize("outcome", list(SlotOutcome))
+    @pytest.mark.parametrize("qfp", [0.0, 0.2, 3.5, 4.4, 7.15, 14.8, 15.0])
+    def test_updn_is_a_plain_int_sign(self, outcome, qfp):
+        alg = QAlgorithm(initial_q=0, c=0.3)
+        alg.qfp = qfp
+        before = alg.q
+        updn = alg.update(outcome)
+        assert type(updn) is int
+        assert updn == int(np.sign(alg.q - before))
+
+    @pytest.mark.parametrize("q", [0, 1, 14, 15])
+    @pytest.mark.parametrize("updn", [-1, 0, 1])
+    def test_query_adjust_clamps_q_to_a_plain_int(self, q, updn):
+        tag = make_population(1, seed=31)[0]
+        tag.handle(Query(q=q))
+        tag.handle(QueryAdjust(updn=updn))
+        assert type(tag._q) is int
+        assert tag._q == int(np.clip(q + updn, 0, 15))

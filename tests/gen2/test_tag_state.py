@@ -6,7 +6,7 @@ import pytest
 from repro.errors import ProtocolError
 from repro.gen2 import Ack, Gen2Tag, Nak, Query, QueryAdjust, QueryRep, Select, TagState
 from repro.gen2.bitops import bits_from_int
-from repro.gen2.crc import check_crc16
+from repro.gen2.crc import append_crc16, check_crc16
 from repro.gen2.tag_state import EpcReply, Rn16Reply
 
 
@@ -78,6 +78,15 @@ class TestAckHandshake:
         payload = check_crc16(epc_reply.bits)
         assert payload[16:] == tag.epc
         assert tag.state == TagState.ACKNOWLEDGED
+
+    def test_reply_frame_is_built_once_and_reused(self):
+        tag = make_tag(epc_value=0x123456789)
+        rn16 = tag.handle(Query(q=0))
+        first = tag.handle(Ack(rn16=rn16.rn16))
+        again = tag.handle(Ack(rn16=rn16.rn16))  # re-ACK re-sends the EPC
+        assert again is first
+        assert first.bits is first.bits
+        assert first.bits == append_crc16(bits_from_int(tag.pc, 16) + tag.epc)
 
     def test_wrong_rn16_returns_to_arbitrate(self):
         tag = make_tag()

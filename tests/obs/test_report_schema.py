@@ -127,6 +127,7 @@ def test_the_sweep_actually_sees_the_committed_reports():
     names = [path.name for path in _committed_reports()]
     assert "BENCH_serve.json" in names
     assert "BENCH_channel.json" in names
+    assert "BENCH_gen2.json" in names
     assert "SOAK_TREND.json" in names
 
 

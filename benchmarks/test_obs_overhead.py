@@ -29,6 +29,8 @@ from repro.obs.observers import (
 )
 from repro.runtime import RuntimeConfig
 
+pytestmark = [pytest.mark.bench, pytest.mark.slow]
+
 GOLDEN_DIR = (
     Path(__file__).resolve().parent.parent
     / "tests"
@@ -42,31 +44,33 @@ MAX_OVERHEAD_RATIO = 1.05
 #: Acceptance floor on task-span wall-time coverage (serial run).
 MIN_SPAN_COVERAGE = 0.90
 
-BEST_OF = 3
+BEST_OF = 10
 FIG12_TRIALS = 10
 
 
-def _time_fig12(observer_factory):
-    """Best-of-N wall seconds for one Fig. 12 regeneration arm."""
-    best_s = float("inf")
-    for _ in range(BEST_OF):
-        start_s = time.perf_counter()
-        registry.run_experiment(
-            "fig12",
-            RuntimeConfig(),
-            n_trials=FIG12_TRIALS,
-            observers=observer_factory(),
-        )
-        best_s = min(best_s, time.perf_counter() - start_s)
-    return best_s
+def _time_fig12(observers):
+    """Wall seconds of one Fig. 12 regeneration with ``observers``."""
+    start_s = time.perf_counter()
+    registry.run_experiment(
+        "fig12",
+        RuntimeConfig(),
+        n_trials=FIG12_TRIALS,
+        observers=observers,
+    )
+    return time.perf_counter() - start_s
 
 
 @pytest.fixture(scope="module")
 def obs_record(tmp_path_factory):
-    plain_s = _time_fig12(lambda: [])
-    observed_s = _time_fig12(
-        lambda: [TraceObserver(), MetricsObserver()]
-    )
+    # Best-of-N per arm, with the arms interleaved: run back to back,
+    # a change in host load between the two arms would read as
+    # observer overhead.
+    plain_s = observed_s = float("inf")
+    for _ in range(BEST_OF):
+        plain_s = min(plain_s, _time_fig12([]))
+        observed_s = min(
+            observed_s, _time_fig12([TraceObserver(), MetricsObserver()])
+        )
     traced = registry.run_experiment(
         "fig12",
         RuntimeConfig(backend="serial"),

@@ -74,12 +74,8 @@ def speedup_record(tmp_path_factory):
 
 
 def test_warm_cache_is_3x_faster(speedup_record, save_bench_json):
-    for name, row in speedup_record["campaigns"].items():
-        assert row["speedup_ratio"] >= MIN_SPEEDUP, (
-            f"{name}: warm regeneration only {row['speedup_ratio']:.1f}x "
-            f"faster ({row['cold_wall_s']:.2f}s cold vs "
-            f"{row['warm_wall_s']:.2f}s warm)"
-        )
+    # The report is written before the floor is checked, so a run that
+    # misses it still records what it measured.
     save_bench_json(
         "runtime",
         {
@@ -96,6 +92,12 @@ def test_warm_cache_is_3x_faster(speedup_record, save_bench_json):
             "min_speedup_required": speedup_record["min_speedup_required"]
         },
     )
+    for name, row in speedup_record["campaigns"].items():
+        assert row["speedup_ratio"] >= MIN_SPEEDUP, (
+            f"{name}: warm regeneration only {row['speedup_ratio']:.1f}x "
+            f"faster ({row['cold_wall_s']:.2f}s cold vs "
+            f"{row['warm_wall_s']:.2f}s warm)"
+        )
 
 
 def test_warm_tables_bit_identical(speedup_record):

@@ -34,12 +34,8 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from repro.errors import LocalizationError
-from repro.localization.incremental import (
-    IncrementalSar,
-    canonical_batch,
-    unit_weights,
-)
-from repro.localization.sar import _MAX_CHUNK_ELEMENTS
+from repro.localization.incremental import IncrementalSar, canonical_batch
+from repro.localization.sar import _MAX_CHUNK_ELEMENTS, unit_weights
 from repro.obs import metrics
 
 

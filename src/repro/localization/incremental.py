@@ -27,7 +27,7 @@ from typing import Any, Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.constants import SAR_DEFAULT_GRID_RESOLUTION_M, SPEED_OF_LIGHT
+from repro.constants import SAR_DEFAULT_GRID_RESOLUTION_M
 from repro.errors import InsufficientMeasurementsError, LocalizationError
 from repro.localization.grid import Grid2D, Heatmap
 from repro.localization.measurement import ThroughRelayMeasurement
@@ -36,9 +36,12 @@ from repro.localization.peaks import find_peaks, select_nearest_to_trajectory
 from repro.localization.pipeline import LocalizationResult
 from repro.localization.sar import (
     DEFAULT_CHUNK_NODES,
-    SarGeometry,
+    _k_factor,
+    _Lattice,
+    _project,
     _validate,
     sar_heatmap,
+    unit_weights,
 )
 from repro.obs import metrics
 
@@ -88,20 +91,6 @@ def canonical_batch(
     return positions, channels
 
 
-def unit_weights(channels: np.ndarray) -> np.ndarray:
-    """Channels whitened to unit magnitude (exact zeros pass through).
-
-    The standard SAR back-projection weighting of
-    :meth:`~repro.localization.sar.SarGeometry.profile`: near poses with
-    much stronger channels must not dominate the coherent sum.
-    """
-    weights = np.asarray(channels, dtype=complex).copy()
-    magnitudes = np.abs(weights)
-    nonzero = magnitudes > 0
-    weights[nonzero] = weights[nonzero] / magnitudes[nonzero]
-    return weights
-
-
 class IncrementalSar:
     """A running complex-sum heatmap over one search grid.
 
@@ -147,8 +136,7 @@ class IncrementalSar:
         self.fine_span = float(fine_span)
         self.relative_threshold = float(relative_threshold)
         self.use_nearest_peak_rule = bool(use_nearest_peak_rule)
-        gx, gy = grid.meshgrid()
-        self._nodes = np.column_stack([gx.ravel(), gy.ravel()])
+        self._lattice = _Lattice(grid)
         self._accumulator = np.zeros(grid.n_points, dtype=complex)
         self._positions: List[np.ndarray] = []
         self._channels: List[np.ndarray] = []
@@ -175,16 +163,16 @@ class IncrementalSar:
     @property
     def n_nodes(self) -> int:
         """Grid nodes each pose projects onto (the per-update cost)."""
-        return len(self._nodes)
+        return self._lattice.n_points
 
     @property
     def k_factor(self) -> float:
         """Round-trip phase constant ``4*pi*f/c`` of Eq. 11-12."""
-        return 2.0 * np.pi * self.frequency_hz * 2.0 / SPEED_OF_LIGHT
+        return _k_factor(self.frequency_hz)
 
     def grid_nodes(self) -> np.ndarray:
         """The ``(N, 2)`` node coordinates (shared array; do not mutate)."""
-        return self._nodes
+        return self._lattice.points
 
     def batch_signature(self) -> Tuple[float, float, float, float, float, float]:
         """Grouping key for cross-accumulator batched folds.
@@ -240,18 +228,14 @@ class IncrementalSar:
         positions, channels = canonical_batch(positions, channels)
         if len(positions) == 0:
             return 0
-        weights = unit_weights(channels)
-        k_factor = self.k_factor
-        geometry = SarGeometry(
+        for node_slice, sums in _project(
             positions,
-            self._nodes,
-            chunk_nodes=self.chunk_nodes,
-            store_distances=False,
-        )
-        for node_slice, distances_m in geometry.iter_chunks():
-            phases = np.exp(1j * (k_factor * distances_m))
-            phases *= weights[:, None]
-            self._accumulator[node_slice] += phases.sum(axis=0)
+            self._lattice,
+            unit_weights(channels),
+            self.k_factor,
+            self.chunk_nodes,
+        ):
+            self._accumulator[node_slice] += sums
         return self.record_block(positions, channels)
 
     def update_measurement(self, measurement: ThroughRelayMeasurement) -> int:

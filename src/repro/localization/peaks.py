@@ -71,6 +71,16 @@ def find_peaks(
     return peaks
 
 
+def _dots(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Row-wise dot products of two (M, 2) arrays.
+
+    Stacked ``matmul`` runs each row through BLAS ``ddot``, the routine
+    ``np.dot`` and vector ``norm`` use; ``u[:, 0] * v[:, 0] + ...``
+    rounds differently wherever ``ddot`` fuses the multiply-add.
+    """
+    return np.matmul(u[:, None, :], v[:, :, None])[:, 0, 0]
+
+
 def distance_to_polyline(point, polyline: np.ndarray) -> float:
     """Shortest distance from a point to a piecewise-linear path."""
     p = np.asarray(point, dtype=float)
@@ -79,17 +89,21 @@ def distance_to_polyline(point, polyline: np.ndarray) -> float:
         raise LocalizationError("polyline must be (K, 2) with K >= 1")
     if len(polyline) == 1:
         return float(np.linalg.norm(p - polyline[0]))
-    best = np.inf
-    for a, b in zip(polyline[:-1], polyline[1:]):
-        ab = b - a
-        denom = float(np.dot(ab, ab))
-        if denom == 0.0:
-            candidate = float(np.linalg.norm(p - a))
-        else:
-            t = float(np.clip(np.dot(p - a, ab) / denom, 0.0, 1.0))
-            candidate = float(np.linalg.norm(p - (a + t * ab)))
-        best = min(best, candidate)
-    return best
+    starts = polyline[:-1]
+    segments = polyline[1:] - starts
+    to_point = p - starts
+    lengths_sq = _dots(segments, segments)
+    # A zero-length segment projects onto its start: t = 0 keeps
+    # ``starts + t * segments`` equal to ``starts`` exactly.
+    degenerate = lengths_sq == 0.0
+    t = np.clip(
+        _dots(to_point, segments) / np.where(degenerate, 1.0, lengths_sq),
+        0.0,
+        1.0,
+    )
+    t[degenerate] = 0.0
+    offsets = p - (starts + t[:, None] * segments)
+    return float(np.sqrt(_dots(offsets, offsets)).min())
 
 
 def select_nearest_to_trajectory(

@@ -84,43 +84,43 @@ class Localizer:
         search_grid: Optional[Grid2D] = None,
     ) -> LocalizationResult:
         """Estimate one tag's 2-D position from a flight's measurements."""
-        result, _ = self._locate_multires(measurements, search_grid)
-        return result
-
-    def _locate_multires(
-        self,
-        measurements: Sequence[ThroughRelayMeasurement],
-        search_grid: Optional[Grid2D],
-        coarse_geometry: Optional[SarGeometry] = None,
-    ) -> "Tuple[LocalizationResult, Grid2D]":
         with tracing.span("localize.locate", poses=len(measurements)):
             with tracing.span("localize.disentangle"):
                 positions, channels = disentangle_series(measurements)
-            grid = search_grid or Grid2D.around_trajectory(
-                positions,
-                margin=self.search_margin_m,
-                resolution=self.coarse_resolution,
-            )
-            result: MultiresResult = multires_locate(
-                positions,
-                channels,
-                grid,
-                self.frequency_hz,
-                fine_resolution=self.fine_resolution,
-                relative_threshold=self.relative_threshold,
-                use_nearest_peak_rule=self.use_nearest_peak_rule,
-                coarse_geometry=coarse_geometry,
-            )
-        return (
-            LocalizationResult(
-                position=result.position,
-                coarse_heatmap=result.coarse_heatmap,
-                fine_heatmap=result.fine_heatmap,
-                peak_distance_to_trajectory_m=(
-                    result.selected_peak.distance_to_trajectory_m
-                ),
+            return self._locate_series(positions, channels, search_grid)
+
+    def _search_grid(
+        self, positions: np.ndarray, search_grid: Optional[Grid2D]
+    ) -> Grid2D:
+        return search_grid or Grid2D.around_trajectory(
+            positions, margin=self.search_margin_m, resolution=self.coarse_resolution
+        )
+
+    def _locate_series(
+        self,
+        positions: np.ndarray,
+        channels: np.ndarray,
+        search_grid: Optional[Grid2D],
+        coarse_geometry: Optional[SarGeometry] = None,
+    ) -> LocalizationResult:
+        """Coarse-to-fine SAR over an already disentangled series."""
+        result: MultiresResult = multires_locate(
+            positions,
+            channels,
+            self._search_grid(positions, search_grid),
+            self.frequency_hz,
+            fine_resolution=self.fine_resolution,
+            relative_threshold=self.relative_threshold,
+            use_nearest_peak_rule=self.use_nearest_peak_rule,
+            coarse_geometry=coarse_geometry,
+        )
+        return LocalizationResult(
+            position=result.position,
+            coarse_heatmap=result.coarse_heatmap,
+            fine_heatmap=result.fine_heatmap,
+            peak_distance_to_trajectory_m=(
+                result.selected_peak.distance_to_trajectory_m
             ),
-            grid,
         )
 
     def locate_with_baseline(
@@ -137,13 +137,12 @@ class Localizer:
         roughly halves the per-trial geometry work.
         """
         positions, channels = disentangle_series(measurements)
-        grid = search_grid or Grid2D.around_trajectory(
-            positions, margin=self.search_margin_m, resolution=self.coarse_resolution
-        )
+        grid = self._search_grid(positions, search_grid)
         geometry = grid_geometry(positions, grid)
-        sar_result, _ = self._locate_multires(
-            measurements, grid, coarse_geometry=geometry
-        )
+        with tracing.span("localize.locate", poses=len(measurements)):
+            sar_result = self._locate_series(
+                positions, channels, grid, coarse_geometry=geometry
+            )
         rssi_estimate, _ = rssi_locate(
             positions,
             channels,
@@ -162,9 +161,7 @@ class Localizer:
     ) -> np.ndarray:
         """The RSSI baseline on the same measurements (§7.3)."""
         positions, channels = disentangle_series(measurements)
-        grid = search_grid or Grid2D.around_trajectory(
-            positions, margin=self.search_margin_m, resolution=self.coarse_resolution
-        )
+        grid = self._search_grid(positions, search_grid)
         best, _ = rssi_locate(
             positions, channels, grid, self.frequency_hz, calibration_gain
         )

@@ -12,19 +12,27 @@ may use its own f instead of the relay's f2 since the relay keeps
 (f - f2)/f < 0.01; both options are supported and the ablation bench
 quantifies the difference.
 
-Batched-pose fast path: the pose->candidate distance tensor depends
-only on geometry, not on frequency or channels, so
-:class:`SarGeometry` precomputes it once per (trajectory, grid) pair
-and reuses it across matched-filter frequencies and across the RSSI
-baseline (which scores the same distances). Evaluation is chunked over
-candidate nodes to bound peak memory; chunking never changes the
+One kernel evaluates every projection (DESIGN.md §20). Squared
+distances are built per axis: a search grid is a rectangular lattice,
+so ``(x_c - x_k)^2`` and ``(y_r - y_k)^2`` are computed once per column
+and once per row and broadcast-added; scattered candidates use per-axis
+outer differences. Phases are ``cos``/``sin`` written straight into the
+real and imaginary halves of one complex buffer, and the weighted sum
+runs over poses in order. The result is bitwise equal to the
+``norm``/``exp(1j x)`` formulation (checked against a frozen oracle).
+
+:class:`SarGeometry` keeps the pose->candidate distances of one
+(trajectory, candidate set) pair resident for reuse across
+matched-filter frequencies and the RSSI baseline. Evaluation is chunked
+over candidate nodes to bound peak memory; chunking never changes the
 result (each node's coherent sum is independent), and the chunk size is
 an explicit, testable parameter.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Tuple
+from functools import cached_property
+from typing import Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -47,6 +55,8 @@ _MAX_CHUNK_ELEMENTS = 4_000_000
 #: geometries recompute their chunks on each pass instead of caching
 #: ~hundreds of MB of distances.
 _MAX_STORE_ELEMENTS = 25_000_000
+
+_Chunk = Tuple[slice, np.ndarray]
 
 
 def _validate(
@@ -85,13 +95,138 @@ def _validate(
     return positions, channels
 
 
+def unit_weights(channels: np.ndarray) -> np.ndarray:
+    """Channels whitened to unit magnitude (exact zeros pass through).
+
+    The standard SAR back-projection weighting: near poses with much
+    stronger channels must not dominate the coherent sum.
+    """
+    weights = np.asarray(channels, dtype=complex).copy()
+    magnitudes = np.abs(weights)
+    nonzero = magnitudes > 0
+    weights[nonzero] = weights[nonzero] / magnitudes[nonzero]
+    return weights
+
+
+def _k_factor(frequency_hz: float) -> float:
+    """Round-trip phase constant ``4*pi*f/c`` of Eq. 11-12."""
+    return 2.0 * np.pi * frequency_hz * 2.0 / SPEED_OF_LIGHT
+
+
+def _chunk_width(chunk_nodes: int, n_poses: int) -> int:
+    """Nodes per chunk: ``chunk_nodes``, capped by the element budget."""
+    if chunk_nodes < 1:
+        raise LocalizationError(f"chunk_nodes must be >= 1, got {chunk_nodes}")
+    return int(min(chunk_nodes, max(1, _MAX_CHUNK_ELEMENTS // max(1, n_poses))))
+
+
+def _squared_offsets(coords: np.ndarray, pose_coords: np.ndarray) -> np.ndarray:
+    """``(coords[n] - pose_coords[k]) ** 2`` as a fresh (K, n) array."""
+    offsets = np.empty((len(pose_coords), len(coords)))
+    np.subtract(coords[None, :], pose_coords[:, None], out=offsets)
+    offsets *= offsets
+    return offsets
+
+
+class _Points:
+    """Scattered candidates, shape (N, d)."""
+
+    def __init__(self, points: np.ndarray) -> None:
+        self.points = points
+        self.n_points = len(points)
+        self._axes = [np.ascontiguousarray(points[:, a]) for a in range(points.shape[1])]
+
+    def squared_distances(self, positions: np.ndarray, width: int) -> Iterator[_Chunk]:
+        """``(node_slice, (K, W) squared distances)`` per flat node range."""
+        # Axis terms add in axis order, as ``norm``'s reduce does.
+        for start in range(0, self.n_points, width):
+            node_slice = slice(start, min(start + width, self.n_points))
+            total = _squared_offsets(self._axes[0][node_slice], positions[:, 0])
+            for axis in range(1, len(self._axes)):
+                total += _squared_offsets(self._axes[axis][node_slice], positions[:, axis])
+            yield node_slice, total
+
+
+class _Lattice:
+    """The nodes of a :class:`Grid2D` in meshgrid order.
+
+    Node ``r * nx + c`` sits at ``(xs[c], ys[r])``, so its squared
+    distance to a pose is a column term plus a row term, each computed
+    once per pose. Chunks are the same flat node ranges as for
+    scattered points: the chunk width decides whether numpy sums a
+    chunk's poses sequentially or pairwise (a one-node chunk), so the
+    boundaries are part of the result's bits.
+
+    Every chunk is a fresh C-contiguous (K, W) array. The pose axis must
+    stay the outer one in memory: numpy reduces along a contiguous axis
+    pairwise, which would change the bits of every per-node sum.
+    """
+
+    def __init__(self, grid: Grid2D) -> None:
+        self.xs = grid.xs
+        self.ys = grid.ys
+        self.n_points = len(self.xs) * len(self.ys)
+
+    @cached_property
+    def points(self) -> np.ndarray:
+        gx, gy = np.meshgrid(self.xs, self.ys)
+        return np.column_stack([gx.ravel(), gy.ravel()])
+
+    def squared_distances(self, positions: np.ndarray, width: int) -> Iterator[_Chunk]:
+        """``(node_slice, (K, W) squared distances)`` per flat node range."""
+        dx2 = _squared_offsets(self.xs, positions[:, 0])
+        dy2 = _squared_offsets(self.ys, positions[:, 1])
+        nx = len(self.xs)
+        for start in range(0, self.n_points, width):
+            stop = min(start + width, self.n_points)
+            block = np.empty((len(positions), stop - start))
+            if start % nx == 0 and stop % nx == 0:
+                rows = slice(start // nx, stop // nx)
+                np.add(
+                    dx2[:, None, :],
+                    dy2[:, rows, None],
+                    out=block.reshape(len(positions), -1, nx),
+                )
+            else:
+                flat = np.arange(start, stop)
+                np.add(dx2[:, flat % nx], dy2[:, flat // nx], out=block)
+            yield slice(start, stop), block
+
+
+def _phase_sums(arguments: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """``sum_k w_k exp(j arguments[k])`` per node, summed in pose order.
+
+    ``cos``/``sin`` fill the real/imaginary views of one complex buffer:
+    the same bits as ``np.exp(1j * arguments)`` without its temporaries.
+    """
+    phases = np.empty(arguments.shape, dtype=complex)
+    np.cos(arguments, out=phases.real)
+    np.sin(arguments, out=phases.imag)
+    phases *= weights[:, None]
+    return phases.sum(axis=0)
+
+
+def _project(
+    positions: np.ndarray,
+    nodes: "Union[_Points, _Lattice]",
+    weights: np.ndarray,
+    k: float,
+    chunk_nodes: int,
+) -> Iterator[_Chunk]:
+    """``(node_slice, coherent sums)`` per chunk, distances streamed."""
+    width = _chunk_width(chunk_nodes, len(positions))
+    for node_slice, squared in nodes.squared_distances(positions, width):
+        arguments = np.sqrt(squared, out=squared)
+        arguments *= k
+        yield node_slice, _phase_sums(arguments, weights)
+
+
 class SarGeometry:
     """Pose->candidate distances for one (trajectory, candidate set) pair.
 
     The distance tensor is the only geometry the matched filter needs;
-    computing it dominates a profile evaluation and is identical for
-    every frequency, channel draw, and for the RSSI baseline. Build it
-    once per trajectory and reuse it.
+    it is identical for every frequency, channel draw, and for the RSSI
+    baseline. Build it once per trajectory and reuse it.
 
     Parameters
     ----------
@@ -127,39 +262,57 @@ class SarGeometry:
             raise LocalizationError(
                 f"points must be (N, {positions.shape[1]}), got {points.shape}"
             )
-        if chunk_nodes < 1:
+        self._setup(positions, _Points(points), chunk_nodes, store_distances)
+
+    @classmethod
+    def _on_grid(
+        cls,
+        positions: np.ndarray,
+        grid: Grid2D,
+        chunk_nodes: int,
+        store_distances: Optional[bool] = None,
+    ) -> "SarGeometry":
+        positions = np.asarray(positions, dtype=float)
+        if positions.ndim != 2 or positions.shape[1] != 2:
             raise LocalizationError(
-                f"chunk_nodes must be >= 1, got {chunk_nodes}"
+                f"positions must be (K, 2), got {positions.shape}"
             )
+        geometry = cls.__new__(cls)
+        geometry._setup(positions, _Lattice(grid), chunk_nodes, store_distances)
+        return geometry
+
+    def _setup(
+        self,
+        positions: np.ndarray,
+        nodes: "Union[_Points, _Lattice]",
+        chunk_nodes: int,
+        store_distances: Optional[bool],
+    ) -> None:
         self.positions = positions
-        self.points = points
-        self.chunk_nodes = int(
-            min(chunk_nodes, max(1, _MAX_CHUNK_ELEMENTS // max(1, len(positions))))
-        )
+        self._nodes = nodes
+        self.chunk_nodes = _chunk_width(chunk_nodes, len(positions))
         if store_distances is None:
             store_distances = (
-                len(positions) * len(points) <= _MAX_STORE_ELEMENTS
+                len(positions) * nodes.n_points <= _MAX_STORE_ELEMENTS
             )
         self.stores_distances = bool(store_distances)
+        self._chunks: Optional[List[_Chunk]] = None
         if self.stores_distances:
             with tracing.span(
-                "sar.geometry", poses=len(positions), points=len(points)
+                "sar.geometry", poses=len(positions), points=nodes.n_points
             ):
-                self._chunks: "Optional[list[np.ndarray]]" = [
-                    chunk for _, chunk in self._compute_chunks()
-                ]
-        else:
-            self._chunks = None
+                self._chunks = list(self._streamed_distances())
 
-    def _compute_chunks(self) -> Iterator[Tuple[slice, np.ndarray]]:
-        """Distance chunks, freshly computed."""
-        for start in range(0, len(self.points), self.chunk_nodes):
-            stop = min(start + self.chunk_nodes, len(self.points))
-            yield slice(start, stop), np.linalg.norm(
-                self.points[start:stop][None, :, :]
-                - self.positions[:, None, :],
-                axis=2,
-            )
+    def _streamed_distances(self) -> Iterator[_Chunk]:
+        for node_slice, squared in self._nodes.squared_distances(
+            self.positions, self.chunk_nodes
+        ):
+            yield node_slice, np.sqrt(squared, out=squared)
+
+    @property
+    def points(self) -> np.ndarray:
+        """Candidate coordinates, shape (N, d)."""
+        return self._nodes.points
 
     @property
     def n_poses(self) -> int:
@@ -169,18 +322,7 @@ class SarGeometry:
     @property
     def n_points(self) -> int:
         """Candidate count N."""
-        return len(self.points)
-
-    def iter_chunks(self) -> Iterator[Tuple[slice, np.ndarray]]:
-        """``(node_slice, distances)`` pairs; distances is (K, chunk)."""
-        if self._chunks is None:
-            yield from self._compute_chunks()
-            return
-        start = 0
-        for chunk in self._chunks:
-            width = chunk.shape[1]
-            yield slice(start, start + width), chunk
-            start += width
+        return self._nodes.n_points
 
     def profile(
         self,
@@ -194,22 +336,25 @@ class SarGeometry:
         that near poses (with much stronger channels) do not dominate
         the projection — the standard SAR back-projection weighting.
         """
-        _validate(self.positions, channels, frequency_hz)
+        _, channels = _validate(self.positions, channels, frequency_hz)
         with tracing.span(
             "sar.project", poses=self.n_poses, points=self.n_points
         ):
             metrics.count("localization.sar.grid_points", self.n_points)
-            weights = np.asarray(channels, dtype=complex).copy()
-            if normalize:
-                magnitudes = np.abs(weights)
-                nonzero = magnitudes > 0
-                weights[nonzero] = weights[nonzero] / magnitudes[nonzero]
-            k_factor = 2.0 * np.pi * frequency_hz * 2.0 / SPEED_OF_LIGHT
+            weights = unit_weights(channels) if normalize else channels
+            k = _k_factor(frequency_hz)
+            if self._chunks is None:
+                sums = _project(
+                    self.positions, self._nodes, weights, k, self.chunk_nodes
+                )
+            else:
+                sums = (
+                    (node_slice, _phase_sums(k * distances_m, weights))
+                    for node_slice, distances_m in self._chunks
+                )
             values = np.empty(self.n_points)
-            for node_slice, distances_m in self.iter_chunks():
-                phases = np.exp(1j * (k_factor * distances_m))
-                phases *= weights[:, None]
-                values[node_slice] = np.abs(phases.sum(axis=0))
+            for node_slice, total in sums:
+                values[node_slice] = np.abs(total)
             return values / len(weights)
 
     def rssi_mismatch(self, distances_m: np.ndarray) -> np.ndarray:
@@ -229,7 +374,12 @@ class SarGeometry:
         ):
             metrics.count("localization.rssi.grid_points", self.n_points)
             mismatch = np.empty(self.n_points)
-            for node_slice, predicted_m in self.iter_chunks():
+            chunks = (
+                self._streamed_distances()
+                if self._chunks is None
+                else self._chunks
+            )
+            for node_slice, predicted_m in chunks:
                 mismatch[node_slice] = np.mean(
                     (predicted_m - distances_m[:, None]) ** 2, axis=0
                 )
@@ -242,9 +392,7 @@ def grid_geometry(
     chunk_nodes: int = DEFAULT_CHUNK_NODES,
 ) -> SarGeometry:
     """Geometry between a trajectory and every node of a search grid."""
-    gx, gy = grid.meshgrid()
-    nodes = np.column_stack([gx.ravel(), gy.ravel()])
-    return SarGeometry(positions, nodes, chunk_nodes=chunk_nodes)
+    return SarGeometry._on_grid(positions, grid, chunk_nodes)
 
 
 def sar_profile(
@@ -266,7 +414,6 @@ def sar_profile(
     frequencies (or the RSSI baseline) against the same trajectory and
     candidates should build the geometry once instead.
     """
-    positions, channels = _validate(positions, channels, frequency_hz)
     geometry = SarGeometry(
         positions, points, chunk_nodes=chunk_nodes, store_distances=False
     )
@@ -286,10 +433,13 @@ def sar_heatmap(
 
     Pass a precomputed ``geometry`` (from :func:`grid_geometry` on the
     same trajectory and grid) to skip recomputing distances — the fast
-    path the Fig. 12/13 sweeps use across frequencies and baselines.
+    path the Fig. 13/14 sweeps use across frequencies and baselines.
+    Without one, distances stream through the kernel chunk by chunk.
     """
     if geometry is None:
-        geometry = grid_geometry(positions, grid, chunk_nodes=chunk_nodes)
+        geometry = SarGeometry._on_grid(
+            positions, grid, chunk_nodes, store_distances=False
+        )
     elif geometry.n_points != grid.n_points:
         raise LocalizationError(
             f"geometry covers {geometry.n_points} points but the grid has "

@@ -128,6 +128,9 @@ def test_the_sweep_actually_sees_the_committed_reports():
     assert "BENCH_serve.json" in names
     assert "BENCH_channel.json" in names
     assert "BENCH_gen2.json" in names
+    assert "BENCH_sar.json" in names
+    assert "BENCH_runtime.json" in names
+    assert "BENCH_obs.json" in names
     assert "SOAK_TREND.json" in names
 
 

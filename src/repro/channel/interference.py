@@ -90,6 +90,65 @@ def _received_power_db(
     return float(gain_db) - free_space_path_loss_db(distance, frequency_hz)
 
 
+class CoChannelPenalty:
+    """:func:`co_channel_penalty_db` of one serving relay at one instant.
+
+    The interferer set and the reader-sink term depend only on where
+    the relays are, so they are computed once here; :meth:`at` adds the
+    tag-sink term of each tag in the order the penalty always summed.
+    """
+
+    def __init__(
+        self,
+        serving_index: int,
+        relay_positions_m: Sequence[Tuple[float, float]],
+        frequencies_hz: Sequence[float],
+        gains_db: Sequence[float],
+        reader_position_m: Tuple[float, float],
+        guard_hz: float,
+    ) -> None:
+        serving_frequency = frequencies_hz[serving_index]
+        self._serving = serving_index
+        self._positions = relay_positions_m
+        self._frequencies = frequencies_hz
+        self._gains = gains_db
+        self._interferers = [
+            j
+            for j in range(len(relay_positions_m))
+            if j != serving_index
+            and co_channel(frequencies_hz[j], serving_frequency, guard_hz)
+        ]
+        self._reader_db = (
+            self._sink_db(reader_position_m) if self._interferers else 0.0
+        )
+
+    def _sink_db(self, sink: Tuple[float, float]) -> float:
+        """``10 log10(1 + sum_j I_j / S)`` received at one sink."""
+        serving = self._serving
+        signal_db = _received_power_db(
+            self._positions[serving],
+            sink,
+            self._gains[serving],
+            self._frequencies[serving],
+        )
+        interference_linear = 0.0
+        for j in self._interferers:
+            interferer_db = _received_power_db(
+                self._positions[j], sink, self._gains[j], self._frequencies[j]
+            )
+            interference_linear += db_to_linear(interferer_db - signal_db)
+        return float(linear_to_db(1.0 + interference_linear))
+
+    def at(self, tag_position_m: Tuple[float, float]) -> float:
+        """The penalty (dB, >= 0) of the serving link to one tag."""
+        if not self._interferers:
+            return 0.0
+        penalty = 0.0
+        penalty += self._sink_db(tag_position_m)
+        penalty += self._reader_db
+        return penalty
+
+
 def co_channel_penalty_db(
     serving_index: int,
     relay_positions_m: Sequence[Tuple[float, float]],
@@ -103,31 +162,15 @@ def co_channel_penalty_db(
 
     ``relay_positions_m`` are every relay's positions at the current
     instant; interferers are the *other* relays whose tag-side carrier
-    is within ``guard_hz`` of the serving relay's. Returns exactly
+    is within ``guard_hz`` of the serving relay's. The penalty sums the
+    term at the tag, then the term at the reader. Returns exactly
     ``0.0`` when no interferer is co-channel.
     """
-    serving_frequency = frequencies_hz[serving_index]
-    interferers = [
-        j
-        for j in range(len(relay_positions_m))
-        if j != serving_index
-        and co_channel(frequencies_hz[j], serving_frequency, guard_hz)
-    ]
-    if not interferers:
-        return 0.0
-    penalty = 0.0
-    for sink in (tag_position_m, reader_position_m):
-        signal_db = _received_power_db(
-            relay_positions_m[serving_index],
-            sink,
-            gains_db[serving_index],
-            serving_frequency,
-        )
-        interference_linear = 0.0
-        for j in interferers:
-            interferer_db = _received_power_db(
-                relay_positions_m[j], sink, gains_db[j], frequencies_hz[j]
-            )
-            interference_linear += db_to_linear(interferer_db - signal_db)
-        penalty += float(linear_to_db(1.0 + interference_linear))
-    return penalty
+    return CoChannelPenalty(
+        serving_index,
+        relay_positions_m,
+        frequencies_hz,
+        gains_db,
+        reader_position_m,
+        guard_hz,
+    ).at(tag_position_m)

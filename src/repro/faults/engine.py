@@ -59,6 +59,12 @@ class FaultEngine:
         self._calls: Dict[Tuple[str, str], int] = {}
         self._fired: List[int] = [0] * n_specs
         self._sites = frozenset(spec.site for spec in plan.specs)
+        #: Plan order of the specs targeting each ``(site, action)`` hook.
+        self._hooked: Dict[Tuple[str, str], List[int]] = {}
+        for spec_index, spec in enumerate(plan.specs):
+            self._hooked.setdefault((spec.site, spec.action), []).append(
+                spec_index
+            )
         self.injections: List[InjectionRecord] = []
 
     def watches(self, site: str) -> bool:
@@ -81,9 +87,8 @@ class FaultEngine:
         call_index = self._calls.get(key, 0)
         self._calls[key] = call_index + 1
         hits: List[Tuple[FaultSpec, np.random.Generator]] = []
-        for spec_index, spec in enumerate(self.plan.specs):
-            if spec.site != site or spec.action != action:
-                continue
+        for spec_index in self._hooked.get(key, ()):
+            spec = self.plan.specs[spec_index]
             if (
                 spec.max_injections is not None
                 and self._fired[spec_index] >= spec.max_injections

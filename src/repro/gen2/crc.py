@@ -7,17 +7,19 @@ Per the EPCglobal Gen2 specification (Annex F):
 * **CRC-16** protects longer reader commands and tag {PC, EPC} replies.
   It is the CCITT CRC: polynomial 0x1021, preset 0xFFFF, and the ones-
   complement of the register is appended. A correct frame leaves the
-  receiver's register at the residue 0x1D0F. It runs a byte at a time
-  from a 256-entry table; a frame whose length is not a multiple of 8
-  feeds its leading ``len % 8`` bits through the bit-serial loop first.
+  receiver's register at the residue 0x1D0F. Whole bytes run through
+  :func:`binascii.crc_hqx`, the same polynomial and bit order; a frame
+  whose length is not a multiple of 8 feeds its leading ``len % 8``
+  bits through the bit-serial loop first.
 """
 
 from __future__ import annotations
 
+import binascii
 from typing import Sequence
 
 from repro.errors import CRCError
-from repro.gen2.bitops import Bits, bits_from_int, bits_to_int, validate_bits
+from repro.gen2.bitops import Bits, bits_from_int, unchecked_int, validate_bits
 
 CRC5_POLY = 0b01001  # x^5 + x^3 + 1, with the x^5 term implicit
 CRC5_PRESET = 0b01001
@@ -47,33 +49,33 @@ def _crc16_shift(register: int, bits: Sequence[int]) -> int:
     return register
 
 
-#: ``_CRC16_TABLE[b]`` is the register after clocking eight zero bits
-#: through a register that starts as ``b << 8``: one byte's update.
-_CRC16_TABLE = tuple(
-    _crc16_shift(byte << 8, (0,) * 8) for byte in range(256)
-)
+def _crc16_register(checked: Bits) -> int:
+    """The CRC-16 register after clocking already-validated bits."""
+    head = len(checked) % 8
+    register = _crc16_shift(CRC16_PRESET, checked[:head])
+    body = unchecked_int(checked[head:]).to_bytes(len(checked) // 8, "big")
+    # ``crc_hqx`` clocks whole bytes MSB-first through this same
+    # polynomial (the CRC-CCITT of binhex), from any starting register.
+    return binascii.crc_hqx(body, register)
 
 
 def crc16(bits: Sequence[int]) -> Bits:
     """CRC-16 of a bit sequence, ones-complemented, as 16 bits MSB-first."""
-    checked = validate_bits(bits)
-    head = len(checked) % 8
-    register = _crc16_shift(CRC16_PRESET, checked[:head])
-    body = bits_to_int(checked[head:]).to_bytes(len(checked) // 8, "big")
-    table = _CRC16_TABLE
-    for byte in body:
-        register = ((register << 8) & 0xFFFF) ^ table[(register >> 8) ^ byte]
-    return bits_from_int(register ^ 0xFFFF, 16)
+    return bits_from_int(_crc16_register(validate_bits(bits)) ^ 0xFFFF, 16)
 
 
 def append_crc16(bits: Sequence[int]) -> Bits:
     """Return ``bits`` with its CRC-16 appended (how tags build replies)."""
     payload = validate_bits(bits)
-    return payload + crc16(payload)
+    return payload + bits_from_int(_crc16_register(payload) ^ 0xFFFF, 16)
 
 
 def check_crc16(bits_with_crc: Sequence[int]) -> Bits:
     """Validate a CRC-16-protected frame and return the payload bits.
+
+    A frame passes exactly when clocking all of it, CRC included, leaves
+    the register at :data:`CRC16_RESIDUE`: the 16 CRC bits map the
+    payload's register one-to-one, and only its complement lands there.
 
     Raises
     ------
@@ -83,10 +85,9 @@ def check_crc16(bits_with_crc: Sequence[int]) -> Bits:
     frame = validate_bits(bits_with_crc)
     if len(frame) < 16:
         raise CRCError(f"frame of {len(frame)} bits is shorter than a CRC-16")
-    payload, received = frame[:-16], frame[-16:]
-    if crc16(payload) != received:
+    if _crc16_register(frame) != CRC16_RESIDUE:
         raise CRCError("CRC-16 check failed")
-    return payload
+    return frame[:-16]
 
 
 def check_crc5(bits_with_crc: Sequence[int]) -> Bits:

@@ -19,7 +19,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.errors import ProtocolError
-from repro.gen2.bitops import Bits, bits_to_int
+from repro.gen2.bitops import unchecked_int
 from repro.gen2.commands import Ack, Query, QueryAdjust, QueryRep
 from repro.gen2.crc import check_crc16
 from repro.gen2.tag_state import EpcReply, Gen2Tag, Rn16Reply
@@ -32,6 +32,13 @@ class SlotOutcome(enum.Enum):
     SUCCESS = "success"
     COLLISION = "collision"
     DECODE_ERROR = "decode_error"
+
+
+#: The members, bound once (an enum-class lookup per slot adds up).
+_IDLE = SlotOutcome.IDLE
+_SUCCESS = SlotOutcome.SUCCESS
+_COLLISION = SlotOutcome.COLLISION
+_DECODE_ERROR = SlotOutcome.DECODE_ERROR
 
 
 class QAlgorithm:
@@ -58,12 +65,15 @@ class QAlgorithm:
 
     def update(self, outcome: SlotOutcome) -> int:
         """Fold in a slot outcome; return the UpDn adjustment (-1/0/+1)."""
-        before = self.q
-        if outcome == SlotOutcome.COLLISION:
-            self.qfp = min(15.0, self.qfp + self.c)
-        elif outcome == SlotOutcome.IDLE:
-            self.qfp = max(0.0, self.qfp - self.c)
-        after = self.q
+        if outcome is _COLLISION:
+            qfp = min(15.0, self.qfp + self.c)
+        elif outcome is _IDLE:
+            qfp = max(0.0, self.qfp - self.c)
+        else:
+            return 0
+        before = int(round(self.qfp))
+        self.qfp = qfp
+        after = int(round(qfp))
         return (after > before) - (after < before)
 
 
@@ -88,27 +98,26 @@ class InventoryRound:
     @property
     def successes(self) -> int:
         """Number of successful (singulation) slots."""
-        return sum(1 for s in self.slots if s.outcome == SlotOutcome.SUCCESS)
+        return sum(1 for s in self.slots if s.outcome is _SUCCESS)
 
     @property
     def collisions(self) -> int:
         """Number of collision slots."""
-        return sum(1 for s in self.slots if s.outcome == SlotOutcome.COLLISION)
+        return sum(1 for s in self.slots if s.outcome is _COLLISION)
 
     @property
     def idles(self) -> int:
         """Number of idle slots."""
-        return sum(1 for s in self.slots if s.outcome == SlotOutcome.IDLE)
+        return sum(1 for s in self.slots if s.outcome is _IDLE)
 
 
 def _broadcast(audible: Sequence[Gen2Tag], command) -> List[Tuple[Gen2Tag, object]]:
     """Deliver a command to every tag that hears it; gather replies."""
-    replies = []
-    for tag in audible:
-        reply = tag.handle(command)
-        if reply is not None:
-            replies.append((tag, reply))
-    return replies
+    return [
+        (tag, reply)
+        for tag in audible
+        if (reply := tag.handle(command)) is not None
+    ]
 
 
 def run_inventory(
@@ -151,63 +160,75 @@ def run_inventory(
     decodes = decodes or (lambda tag: True)
     qalg = QAlgorithm(initial_q=initial_q)
     result = InventoryRound()
+    # Commands are frozen values: build each Query (per Q) and
+    # QueryAdjust (per UpDn) once, and one QueryRep for the call.
+    queries: Dict[int, Query] = {}
+    adjusts: Dict[int, QueryAdjust] = {}
 
-    query = Query(q=qalg.q, session=session, target=target)
-    replies = _broadcast(audible, query)
-    result.commands_sent += 1
+    def query_for(q: int) -> Query:
+        query = queries.get(q)
+        if query is None:
+            query = queries[q] = Query(q=q, session=session, target=target)
+        return query
 
-    remaining = lambda: any(t.inventoried[session] == target for t in audible)
+    def remaining() -> bool:
+        for tag in audible:
+            if tag.inventoried[session] == target:
+                return True
+        return False
+
+    replies = _broadcast(audible, query_for(qalg.q))
+    commands_sent = 1
+    rep = QueryRep(session=session)
     slots_done = 0
     slots_in_round = 1 << qalg.q
     slot_index = 1
 
     while slots_done < max_slots:
         slots_done += 1
-        record = SlotRecord(outcome=SlotOutcome.IDLE, responders=len(replies))
-        if len(replies) == 1:
+        responders = len(replies)
+        epc = None
+        if responders == 1:
+            outcome = _DECODE_ERROR
             tag, rn16_reply = replies[0]
             if isinstance(rn16_reply, Rn16Reply) and decodes(tag):
-                ack = Ack(rn16=rn16_reply.rn16)
-                result.commands_sent += 1
-                epc_replies = _broadcast(audible, ack)
+                commands_sent += 1
                 epc_replies = [
-                    (t, r) for t, r in epc_replies if isinstance(r, EpcReply)
+                    (t, r)
+                    for t, r in _broadcast(audible, Ack(rn16=rn16_reply.rn16))
+                    if isinstance(r, EpcReply)
                 ]
                 if len(epc_replies) == 1 and decodes(epc_replies[0][0]):
                     payload = check_crc16(epc_replies[0][1].bits)
-                    epc_bits = payload[16:]
-                    record.outcome = SlotOutcome.SUCCESS
-                    record.epc = bits_to_int(epc_bits)
-                    result.epcs.append(record.epc)
-                else:
-                    record.outcome = SlotOutcome.DECODE_ERROR
-            else:
-                record.outcome = SlotOutcome.DECODE_ERROR
-        elif len(replies) > 1:
-            record.outcome = SlotOutcome.COLLISION
-        result.slots.append(record)
+                    outcome = _SUCCESS
+                    epc = unchecked_int(payload[16:])
+                    result.epcs.append(epc)
+        elif responders:
+            outcome = _COLLISION
+        else:
+            outcome = _IDLE
+        result.slots.append(SlotRecord(outcome, epc, responders))
 
         if not remaining():
             break
 
-        updn = qalg.update(record.outcome)
+        updn = qalg.update(outcome)
+        commands_sent += 1
         if use_query_adjust and updn != 0:
-            adjust = QueryAdjust(session=session, updn=updn)
+            adjust = adjusts.get(updn)
+            if adjust is None:
+                adjust = adjusts[updn] = QueryAdjust(session=session, updn=updn)
             replies = _broadcast(audible, adjust)
-            result.commands_sent += 1
             slots_in_round = 1 << qalg.q
             slot_index = 1
         elif slot_index >= slots_in_round:
-            query = Query(q=qalg.q, session=session, target=target)
-            replies = _broadcast(audible, query)
-            result.commands_sent += 1
+            replies = _broadcast(audible, query_for(qalg.q))
             slots_in_round = 1 << qalg.q
             slot_index = 1
         else:
-            rep = QueryRep(session=session)
             replies = _broadcast(audible, rep)
-            result.commands_sent += 1
             slot_index += 1
 
+    result.commands_sent = commands_sent
     result.final_q = qalg.q
     return result

@@ -21,7 +21,7 @@ a division isolates ``B_rt`` (Eq. 10) — see
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import Any, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -129,34 +129,99 @@ class MeasurementModel:
         """
         a_rt = self.reader_relay_round_trip(drone_position)
         b_rt = self.relay_tag_round_trip(drone_position, tag_position)
-        return self._observe(drone_position, a_rt, b_rt, rng, snr_db, time)
+        noise = _draw_noise(rng, snr_db)
+        return self._observe(drone_position, a_rt, b_rt, noise, snr_db, time)
+
+    def draw_read(
+        self,
+        drone_position,
+        tag_position,
+        rng: Optional[np.random.Generator] = None,
+        snr_db: float = 30.0,
+        time: float = 0.0,
+        relay: str = "",
+    ) -> "PendingRead":
+        """Everything random about one read, with its channels left out.
+
+        Makes exactly the draws :meth:`measure` makes, in its order: the
+        ``channel.link`` faults of the reader->relay, then the
+        relay->tag half-link, then the channel-estimate noise.
+        :meth:`resolve` later traces the channels of many reads at once.
+        """
+        live_reader = not faults.dropped("channel.link")
+        live_tag = not faults.dropped("channel.link")
+        return PendingRead(
+            drone_position,
+            tag_position,
+            live_reader,
+            live_tag,
+            _draw_noise(rng, snr_db),
+            snr_db,
+            time,
+            relay,
+        )
+
+    def resolve(
+        self, reads: Sequence["PendingRead"]
+    ) -> List[ThroughRelayMeasurement]:
+        """The observations of drawn reads, in order.
+
+        The same observations as :meth:`measure` read by read: every
+        half-link of the batch is traced in two channel calls, and a
+        dropped half-link stays dead (0j) and is never traced.
+        """
+        n = len(reads)
+        drones = np.array([r.drone_position for r in reads], float).reshape(-1, 2)
+        tags = np.array([r.tag_position for r in reads], float).reshape(-1, 2)
+        live_reader = np.array([r.live_reader for r in reads], dtype=bool)
+        live_tag = np.array([r.live_tag for r in reads], dtype=bool)
+        reader_relay = np.zeros(n, complex)
+        relay_tag = np.zeros(n, complex)
+        if live_reader.any():
+            reader_relay[live_reader] = self.environment.channels(
+                self.reader_position, drones[live_reader], self.f
+            )
+        if live_tag.any():
+            relay_tag[live_tag] = self.environment.channels(
+                drones[live_tag], tags[live_tag], self.f2
+            )
+        return [
+            self._observe(
+                r.drone_position,
+                complex(a * a),
+                complex(b * b),
+                r.noise,
+                r.snr_db,
+                r.time,
+                r.relay,
+            )
+            for r, a, b in zip(reads, reader_relay.tolist(), relay_tag.tolist())
+        ]
 
     def _observe(
         self,
         drone_position,
         a_rt: complex,
         b_rt: complex,
-        rng: Optional[np.random.Generator],
+        noise: Optional[Tuple[float, float, float, float]],
         snr_db: float,
         time: float,
+        relay: str = "",
     ) -> ThroughRelayMeasurement:
         """Assemble one observation from its round-trip half-links."""
         h_target = a_rt * b_rt * self.relay_gain
         h_reference = a_rt * self.reference_gain
-        if rng is not None and np.isfinite(snr_db):
+        if noise is not None:
+            n_target_re, n_target_im, n_ref_re, n_ref_im = noise
             scale = np.sqrt(db_to_linear(-snr_db) / 2.0)
             h_target += (
-                abs(h_target)
-                * scale
-                * (rng.standard_normal() + 1j * rng.standard_normal())
+                abs(h_target) * scale * (n_target_re + 1j * n_target_im)
             )
             ref_scale = np.sqrt(
                 db_to_linear(-(snr_db + self.REFERENCE_SNR_ADVANTAGE_DB)) / 2.0
             )
             h_reference += (
-                abs(h_reference)
-                * ref_scale
-                * (rng.standard_normal() + 1j * rng.standard_normal())
+                abs(h_reference) * ref_scale * (n_ref_re + 1j * n_ref_im)
             )
         return ThroughRelayMeasurement(
             position=np.asarray(drone_position, dtype=float),
@@ -164,6 +229,7 @@ class MeasurementModel:
             h_reference=complex(h_reference),
             snr_db=float(snr_db),
             time=float(time),
+            relay=relay,
         )
 
     def measure_along(
@@ -177,27 +243,39 @@ class MeasurementModel:
 
         The same observations as :meth:`measure` pose by pose, with every
         half-link of the flight computed in two batched channel calls.
-        The ``channel.link`` faults are drawn first, in the per-pose order
-        (reader->relay, then relay->tag), so the same links drop.
         """
-        samples = list(samples)
-        live = np.array(
-            [not faults.dropped("channel.link") for _ in range(2 * len(samples))],
-            dtype=bool,
-        ).reshape(-1, 2)
-        positions = np.array([s.position for s in samples], dtype=float).reshape(-1, 2)
-        # Dropped half-links stay dead (0j) and are never traced.
-        reader_relay = np.zeros(len(samples), complex)
-        relay_tag = np.zeros(len(samples), complex)
-        reader_relay[live[:, 0]] = self.environment.channels(
-            self.reader_position, positions[live[:, 0]], self.f
+        return self.resolve(
+            [
+                self.draw_read(s.position, tag_position, rng, snr_db, s.time)
+                for s in samples
+            ]
         )
-        relay_tag[live[:, 1]] = self.environment.channels(
-            positions[live[:, 1]], tag_position, self.f2
-        )
-        return [
-            self._observe(
-                s.position, complex(a * a), complex(b * b), rng, snr_db, s.time
-            )
-            for s, a, b in zip(samples, reader_relay.tolist(), relay_tag.tolist())
-        ]
+
+
+class PendingRead(NamedTuple):
+    """One read's draws, waiting for :meth:`MeasurementModel.resolve`."""
+
+    drone_position: Any
+    tag_position: Any
+    live_reader: bool
+    live_tag: bool
+    #: Standard normals of the target and reference estimates (real,
+    #: imaginary), or None for a noiseless read.
+    noise: Optional[Tuple[float, float, float, float]]
+    snr_db: float
+    time: float
+    relay: str
+
+
+def _draw_noise(
+    rng: Optional[np.random.Generator], snr_db: float
+) -> Optional[Tuple[float, float, float, float]]:
+    """The four standard normals :meth:`MeasurementModel._observe` adds."""
+    if rng is None or not np.isfinite(snr_db):
+        return None
+    return (
+        rng.standard_normal(),
+        rng.standard_normal(),
+        rng.standard_normal(),
+        rng.standard_normal(),
+    )
